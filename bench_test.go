@@ -126,49 +126,6 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportEngine measures the same run on the goroutine
-// runtime (goroutine + channel overhead per round).
-func BenchmarkTransportEngine(b *testing.B) {
-	params := eba.Params{N: 8, T: 2}
-	cfg := eba.ConfigFromBits(8, 0b10110100)
-	pat := eba.Silent(eba.Crash, 8, 4, 3, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunLive(eba.P0Opt(), params, cfg, pat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkChain0Omission measures a live chain-protocol run under an
-// adversarial omission pattern at n=8.
-func BenchmarkChain0Omission(b *testing.B) {
-	params := eba.Params{N: 8, T: 2}
-	cfg := eba.ConfigFromBits(8, 0b11111110)
-	pat := eba.SilentExcept(8, 4, 0, 2, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunLive(eba.Chain0(), params, cfg, pat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNetTransport measures a full TCP-mesh run (dial + rounds)
-// for the wire-format FIP at n=4.
-func BenchmarkNetTransport(b *testing.B) {
-	params := eba.Params{N: 4, T: 1}
-	cfg := eba.ConfigFromBits(4, 0b1110)
-	pat := eba.Silent(eba.Crash, 4, 3, 2, 2)
-	proto := eba.FIPWire(eba.P0OptPair())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunTCP(proto, params, cfg, pat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunAllParallel measures the worker-pool sweep against the
 // sequential baseline workload (n=4, t=1 crash, P0opt).
 func BenchmarkRunAllParallel(b *testing.B) {

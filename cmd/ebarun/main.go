@@ -1,11 +1,12 @@
 // Command ebarun executes one run of a protocol and prints the
 // decisions. It is the quickest way to watch the paper's protocols
-// behave under injected failures, on either engine.
+// behave under injected failures: a scripted pattern runs on the
+// deterministic engine, a chaos run on the resilient TCP runtime.
 //
 // Usage examples:
 //
 //	ebarun -protocol p0opt -mode crash -config 0111 -silent 0@2
-//	ebarun -protocol chain0 -mode omission -config 0111 -except 0@2-3 -live
+//	ebarun -protocol chain0 -mode omission -config 0111 -except 0@2-3 -verbose
 //	ebarun -protocol chain0 -mode receiving-omission -config 0111 -deaf 2@1
 //	ebarun -protocol floodset -config 1010
 //
@@ -55,7 +56,6 @@ func run() error {
 		silent    = flag.String("silent", "", "silent failures, e.g. 2@1,3@2")
 		deaf      = flag.String("deaf", "", "deaf failures (receiving modes), e.g. 2@1")
 		except    = flag.String("except", "", "silent-except-one failures, e.g. 0@2-1")
-		live      = flag.Bool("live", false, "run on the goroutine transport instead of the deterministic engine")
 		verbose   = flag.Bool("verbose", false, "trace every round and message (deterministic engine only)")
 		chaosSpec = flag.String("chaos", "", `run on the resilient TCP runtime with seeded fault injection: "auto" or a mechanism list, e.g. "drop,delay,kill"`)
 		seed      = flag.Int64("seed", 1, "chaos plan seed (with -chaos)")
@@ -69,12 +69,9 @@ func run() error {
 	}
 	defer tel.Close()
 	eba.SetParallelism(*parallel)
-	if *verbose && *live {
-		return fmt.Errorf("-verbose requires the deterministic engine (drop -live)")
-	}
 	if *chaosSpec != "" {
-		if *live || *verbose {
-			return fmt.Errorf("-chaos picks its own engine (drop -live/-verbose)")
+		if *verbose {
+			return fmt.Errorf("-chaos picks its own engine (drop -verbose)")
 		}
 		if *silent != "" || *deaf != "" || *except != "" {
 			return fmt.Errorf("-chaos draws failures from the seed (drop -silent/-deaf/-except)")
@@ -133,23 +130,14 @@ func run() error {
 	}
 
 	params := eba.Params{N: n, T: t}
-	engineName := "deterministic engine"
-	if *live {
-		engineName = "goroutine transport"
-	}
-	fmt.Printf("%s on %s | n=%d t=%d h=%d | config %s | %s\n",
-		proto.Name(), engineName, n, t, h, cfg, pat)
+	fmt.Printf("%s on deterministic engine | n=%d t=%d h=%d | config %s | %s\n",
+		proto.Name(), n, t, h, cfg, pat)
 
-	var tr *eba.Trace
-	switch {
-	case *live:
-		tr, err = eba.RunLive(proto, params, cfg, pat)
-	case *verbose:
-		tr, err = eba.RunObserved(proto, params, cfg, pat,
-			eba.TeeObservers(&eba.TextObserver{W: os.Stdout}, eba.NewMetricsObserver()))
-	default:
-		tr, err = eba.RunObserved(proto, params, cfg, pat, eba.NewMetricsObserver())
+	var obs eba.Observer = eba.NewMetricsObserver()
+	if *verbose {
+		obs = eba.TeeObservers(&eba.TextObserver{W: os.Stdout}, obs)
 	}
+	tr, err := eba.RunObserved(proto, params, cfg, pat, obs)
 	if err != nil {
 		return err
 	}
@@ -274,8 +262,8 @@ func auditChaos(pair eba.Pair, params eba.Params, mode eba.Mode, cfg eba.Config,
 }
 
 // pickPair maps a protocol name to its decision pair — the form the
-// wire-format full-information adapter (and hence the TCP engines)
-// can run.
+// wire-format full-information adapter (and hence the resilient TCP
+// runtime) can run.
 func pickPair(name string, t int) (eba.Pair, error) {
 	switch strings.ToLower(name) {
 	case "p0":

@@ -10,9 +10,10 @@
 //   - failure patterns and adversaries (crash / sending omission /
 //     receiving omission / general omission), with exhaustive
 //     enumerators and seeded samplers;
-//   - two execution engines for the same Protocol interface: a
-//     deterministic synchronous round engine and a live goroutine/
-//     channel runtime with fault injection;
+//   - one execution engine for the Protocol interface — the
+//     deterministic synchronous round engine — and one live runtime
+//     (RunResilient: TCP, round deadlines, seeded chaos) whose runs
+//     are replayed on that engine and checked against it;
 //   - full-information systems: every run of the full-information
 //     protocol for given (n, t, horizon, mode), hash-consed;
 //   - a knowledge model checker for the paper's epistemic logic —
@@ -39,9 +40,9 @@
 //	if err := eba.CheckEBA(sys, opt); err != nil { ... }
 //	if ok, _ := eba.IsOptimal(e, opt); !ok { ... }
 //
-//	// Run the concrete equivalent live, on goroutines.
+//	// Run the concrete equivalent on one scripted failure pattern.
 //	pat := eba.Silent(eba.Crash, 4, 3, 0, 2)
-//	tr, _ := eba.RunLive(eba.P0Opt(), params, eba.ConfigFromBits(4, 0b1110), pat)
+//	tr, _ := eba.Run(eba.P0Opt(), params, eba.ConfigFromBits(4, 0b1110), pat)
 package eba
 
 import (
@@ -65,7 +66,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/store"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 	"github.com/eventual-agreement/eba/internal/witness"
@@ -254,20 +254,6 @@ func RunAll(p Protocol, params Params, pats []*Pattern) ([]*Trace, error) {
 // not).
 func RunAllParallel(p Protocol, params Params, pats []*Pattern, workers int) ([]*Trace, error) {
 	return sim.RunAllParallel(p, params, pats, workers)
-}
-
-// RunLive executes a protocol on the goroutine/channel runtime: one
-// goroutine per processor, per-link channels, a network goroutine
-// injecting the failure pattern.
-func RunLive(p Protocol, params Params, cfg Config, pat *Pattern) (*Trace, error) {
-	return transport.Run(p, params, cfg, pat)
-}
-
-// RunTCP executes a protocol over a real TCP loopback mesh with
-// framed, serialized messages (protocol messages must be []byte;
-// FIPWire qualifies). Fault injection happens sender-side.
-func RunTCP(p Protocol, params Params, cfg Config, pat *Pattern) (*Trace, error) {
-	return nettransport.Run(p, params, cfg, pat)
 }
 
 // The resilient runtime: deadline-driven rounds over TCP, seeded
@@ -485,8 +471,8 @@ func NeverDecide() Pair {
 // FIP adapts a pair to the deterministic engine (shared interner).
 func FIP(in *Interner, p Pair) Protocol { return fip.Protocol(in, p) }
 
-// FIPWire adapts a pair to any engine including RunLive (per-process
-// interners, serialized views).
+// FIPWire adapts a pair to any engine including RunResilient
+// (per-process interners, serialized []byte views).
 func FIPWire(p Pair) Protocol { return fip.WireProtocol(p) }
 
 // DecisionAt returns the pair's decision for a processor in a run.

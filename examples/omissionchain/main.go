@@ -1,7 +1,7 @@
 // Omissionchain demonstrates Section 6.2: under sending omissions a
 // naive "decide 0 when you hear of a 0" rule is unsafe; values must
 // travel along 0-chains. The example runs the concrete Chain0
-// protocol live against increasingly devious adversaries, shows the
+// protocol against increasingly devious adversaries, shows the
 // f+1 decision bound of Proposition 6.4, and builds the optimal F*
 // from the chain protocol (Proposition 6.6).
 package main
@@ -45,7 +45,7 @@ func main() {
 	}
 
 	for _, sc := range scenarios {
-		tr, err := eba.RunLive(eba.Chain0(), params, sc.cfg, sc.pat)
+		tr, err := eba.Run(eba.Chain0(), params, sc.cfg, sc.pat)
 		if err != nil {
 			log.Fatal(err)
 		}

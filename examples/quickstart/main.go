@@ -1,7 +1,7 @@
 // Quickstart: derive the optimal crash-mode EBA protocol from the
 // protocol that never decides, verify it with the paper's oracles,
-// and run its concrete equivalent (P0opt) on the live goroutine
-// runtime under an injected crash.
+// run its concrete equivalent (P0opt) under an injected crash, and run
+// the same decision rule live over TCP.
 package main
 
 import (
@@ -41,16 +41,33 @@ func main() {
 	}
 	fmt.Println("TwoStep(FΛ) is optimal EBA and equals P0opt (Theorems 6.1/6.2)")
 
-	// 4. Run the concrete P0opt live: goroutines, channels, and a
-	//    crash of processor 0 in round 2.
+	// 4. Run the concrete P0opt on the round engine, with processor 0
+	//    crashing in round 2.
 	cfg := eba.ConfigFromBits(4, 0b1110) // processor 0 holds the only 0
 	pat := eba.Silent(eba.Crash, 4, 3, 0, 2)
-	tr, err := eba.RunLive(eba.P0Opt(), params, cfg, pat)
+	tr, err := eba.Run(eba.P0Opt(), params, cfg, pat)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("live run, config %s, %s:\n", cfg, pat)
+	fmt.Printf("run, config %s, %s:\n", cfg, pat)
 	for _, d := range tr.Decisions() {
+		fmt.Println(" ", d)
+	}
+
+	// 5. Run FIP(P0opt) live: one TCP connection per link, serialized
+	//    views, round deadlines. The failure pattern is reconstructed
+	//    from what the network delivered and the run is replayed on
+	//    the round engine.
+	proto := eba.FIPWire(eba.P0OptPair())
+	live, err := eba.RunResilient(proto, params, cfg, eba.ResilientOptions{Mode: eba.Crash, Horizon: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := eba.VerifyResilient(proto, params, live); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("live TCP run, config %s, reconstructed %s:\n", cfg, live.Pattern)
+	for _, d := range live.Decisions() {
 		fmt.Println(" ", d)
 	}
 }

@@ -100,14 +100,19 @@ func TestFacadeTemporalAndSBA(t *testing.T) {
 		t.Fatal("halting variant undecided")
 	}
 
-	// TCP engine through the facade.
-	trTCP, err := eba.RunTCP(eba.FIPWire(eba.P0OptPair()), params,
-		eba.ConfigFromBits(3, 0b110), eba.Silent(eba.Crash, 3, 3, 2, 2))
+	// The live TCP runtime through the facade, with no chaos plan,
+	// checked against its deterministic replay.
+	wire := eba.FIPWire(eba.P0OptPair())
+	trTCP, err := eba.RunResilient(wire, params, eba.ConfigFromBits(3, 0b110),
+		eba.ResilientOptions{Mode: eba.Crash, Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !trTCP.NonfaultyDecided() {
 		t.Fatal("TCP run undecided")
+	}
+	if err := eba.VerifyResilient(wire, params, trTCP); err != nil {
+		t.Fatal(err)
 	}
 
 	// Observer through the facade.

@@ -1,7 +1,8 @@
 // Package conform is the randomized conformance harness: it generates
 // seeded scenarios (system parameters, an initial configuration, and a
-// chaos fault plan) and checks, on every one, that the repository's
-// three runtimes agree and that the paper's logical laws hold.
+// chaos fault plan) and checks, on every one, that the live runtime,
+// the round engine and the knowledge layer agree and that the paper's
+// logical laws hold.
 //
 // The three pillars, in the order a scenario passes through them:
 //

@@ -9,6 +9,8 @@ import (
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/multi"
 	"github.com/eventual-agreement/eba/internal/sba"
+	"github.com/eventual-agreement/eba/internal/sim"
+	"github.com/eventual-agreement/eba/internal/types"
 )
 
 // E20WasteRule reproduces the theorem behind the paper's repeated
@@ -114,13 +116,13 @@ func E19Multivalued() (*Result, error) {
 		Claim: "the chain discipline generalizes per value; min-decide at the first clean round"}
 	return timer(r, func() error {
 		const n, t, h, k = 3, 1, 3, 3
-		configs := func() []multi.Config {
-			var out []multi.Config
+		configs := func() []types.Config {
+			var out []types.Config
 			for code := 0; code < k*k*k; code++ {
-				cfg := make(multi.Config, n)
+				cfg := make(types.Config, n)
 				c := code
 				for i := 0; i < n; i++ {
-					cfg[i] = multi.Value(c % k)
+					cfg[i] = types.Value(c % k)
 					c /= k
 				}
 				out = append(out, cfg)
@@ -131,29 +133,30 @@ func E19Multivalued() (*Result, error) {
 		type agg struct {
 			runs, undecided, disagreements, invalid, lateBound int
 		}
-		sweep := func(p multi.Protocol, pats []*failures.Pattern, boundF bool) (agg, error) {
+		params := types.Params{N: n, T: t}
+		sweep := func(p sim.Protocol, pats []*failures.Pattern, boundF bool) (agg, error) {
 			var a agg
 			for _, pat := range pats {
 				f := pat.VisiblyFaulty().Len()
 				for _, cfg := range configs {
-					dec, err := multi.Run(p, n, t, cfg, pat)
+					tr, err := sim.Run(p, params, cfg, pat)
 					if err != nil {
 						return a, err
 					}
 					a.runs++
-					var agreed multi.Value = multi.Undecided
+					agreed := types.Unset
 					for _, q := range pat.Nonfaulty().Members() {
-						d := dec[q]
-						if !d.OK {
+						v, at, ok := tr.DecisionOf(q)
+						if !ok {
 							a.undecided++
 							continue
 						}
-						if boundF && int(d.Time) > f+1 {
+						if boundF && int(at) > f+1 {
 							a.lateBound++
 						}
-						if agreed == multi.Undecided {
-							agreed = d.Value
-						} else if agreed != d.Value {
+						if agreed == types.Unset {
+							agreed = v
+						} else if agreed != v {
 							a.disagreements++
 						}
 					}

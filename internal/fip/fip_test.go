@@ -6,7 +6,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
@@ -135,8 +134,9 @@ func TestProtocolMatchesDecisionAt(t *testing.T) {
 }
 
 // The wire adapter (serialized views, per-process interners) agrees
-// with the shared-interner adapter, over the goroutine transport.
-func TestWireProtocolOverTransport(t *testing.T) {
+// with the shared-interner adapter on the round engine: same
+// decisions, same message traffic.
+func TestWireProtocolMatchesInMemory(t *testing.T) {
 	params := types.Params{N: 3, T: 1}
 	p := p0pair(1)
 	pats, err := failures.EnumCrash(3, 1, 2)
@@ -152,17 +152,12 @@ func TestWireProtocolOverTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := transport.Run(WireProtocol(p), params, cfg, pat)
+			got, err := sim.Run(WireProtocol(p), params, cfg, pat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for proc := types.ProcID(0); proc < 3; proc++ {
-				wv, wa, wok := want.DecisionOf(proc)
-				gv, ga, gok := got.DecisionOf(proc)
-				if wv != gv || wa != ga || wok != gok {
-					t.Fatalf("pattern %s cfg %s proc %d: wire (%v,%d,%v) vs sim (%v,%d,%v)",
-						pat, cfg, proc, gv, ga, gok, wv, wa, wok)
-				}
+			if d := sim.DiffTraces(got, want); d != "" {
+				t.Fatalf("pattern %s cfg %s: wire vs in-memory: %s", pat, cfg, d)
 			}
 		}
 	}

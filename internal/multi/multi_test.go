@@ -4,21 +4,22 @@ import (
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
+	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
 // allConfigs enumerates the k^n configurations.
-func allConfigs(n, k int) []Config {
-	var out []Config
+func allConfigs(n, k int) []types.Config {
+	var out []types.Config
 	total := 1
 	for i := 0; i < n; i++ {
 		total *= k
 	}
 	for code := 0; code < total; code++ {
-		cfg := make(Config, n)
+		cfg := make(types.Config, n)
 		c := code
 		for i := 0; i < n; i++ {
-			cfg[i] = Value(c % k)
+			cfg[i] = types.Value(c % k)
 			c /= k
 		}
 		out = append(out, cfg)
@@ -26,27 +27,37 @@ func allConfigs(n, k int) []Config {
 	return out
 }
 
+// run executes p on the round engine with fault bound t.
+func run(t *testing.T, p sim.Protocol, tt int, cfg types.Config, pat *failures.Pattern) *sim.Trace {
+	t.Helper()
+	tr, err := sim.Run(p, types.Params{N: cfg.N(), T: tt}, cfg, pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // checkEBA verifies decision, agreement, and validity of multivalued
 // decisions on one run.
-func checkEBA(t *testing.T, name string, cfg Config, pat *failures.Pattern, dec []Decision, maxRound types.Round) {
+func checkEBA(t *testing.T, tr *sim.Trace, maxRound types.Round) {
 	t.Helper()
-	var agreed Value = Undecided
-	for _, p := range pat.Nonfaulty().Members() {
-		d := dec[p]
-		if !d.OK {
-			t.Fatalf("%s cfg=%v %s: nonfaulty %d undecided", name, cfg, pat, p)
+	agreed := types.Unset
+	for _, p := range tr.Pattern.Nonfaulty().Members() {
+		v, at, ok := tr.DecisionOf(p)
+		if !ok {
+			t.Fatalf("%s: nonfaulty %d undecided", tr, p)
 		}
-		if maxRound >= 0 && d.Time > maxRound {
-			t.Fatalf("%s cfg=%v %s: proc %d decided at %d > %d", name, cfg, pat, p, d.Time, maxRound)
+		if maxRound >= 0 && at > maxRound {
+			t.Fatalf("%s: proc %d decided at %d > %d", tr, p, at, maxRound)
 		}
-		if agreed == Undecided {
-			agreed = d.Value
-		} else if agreed != d.Value {
-			t.Fatalf("%s cfg=%v %s: agreement violated (%v)", name, cfg, pat, dec)
+		if agreed == types.Unset {
+			agreed = v
+		} else if agreed != v {
+			t.Fatalf("%s: agreement violated", tr)
 		}
 	}
-	if v, same := cfg.AllEqual(); same && agreed != v {
-		t.Fatalf("%s cfg=%v: validity violated (decided %d)", name, cfg, agreed)
+	if v, same := tr.Config.AllEqual(); same && agreed != v {
+		t.Fatalf("%s: validity violated (decided %s)", tr, agreed)
 	}
 }
 
@@ -61,15 +72,12 @@ func TestFloodMinCrashTernary(t *testing.T) {
 	}
 	for _, pat := range pats {
 		for _, cfg := range allConfigs(n, k) {
-			dec, err := Run(FloodMin(), n, tt, cfg, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEBA(t, "FloodMin", cfg, pat, dec, types.Round(tt+1))
+			tr := run(t, FloodMin(), tt, cfg, pat)
+			checkEBA(t, tr, types.Round(tt+1))
 			// FloodMin is simultaneous: everyone decides at t+1.
 			for _, p := range pat.Nonfaulty().Members() {
-				if dec[p].Time != types.Round(tt+1) {
-					t.Fatalf("FloodMin not simultaneous: %v", dec)
+				if _, at, _ := tr.DecisionOf(p); at != types.Round(tt+1) {
+					t.Fatalf("FloodMin not simultaneous: %s", tr)
 				}
 			}
 		}
@@ -87,11 +95,7 @@ func TestMinChainOmissionTernary(t *testing.T) {
 	for _, pat := range pats {
 		f := pat.VisiblyFaulty().Len()
 		for _, cfg := range allConfigs(n, k) {
-			dec, err := Run(MinChain(), n, tt, cfg, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEBA(t, "MinChain", cfg, pat, dec, types.Round(f+1))
+			checkEBA(t, run(t, MinChain(), tt, cfg, pat), types.Round(f+1))
 		}
 	}
 }
@@ -108,18 +112,14 @@ func TestMinChainLargerDomain(t *testing.T) {
 		failures.SilentExcept(n, h, 3, 1, 0),
 	}
 	for _, pat := range pats {
-		for _, cfg := range []Config{
+		for _, cfg := range []types.Config{
 			{0, 1, 2, 3},
 			{3, 2, 1, 0},
 			{2, 2, 2, 2},
 			{1, 3, 3, 3},
 			{3, 3, 3, 1},
 		} {
-			dec, err := Run(MinChain(), n, tt, cfg, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEBA(t, "MinChain", cfg, pat, dec, -1)
+			checkEBA(t, run(t, MinChain(), tt, cfg, pat), -1)
 		}
 	}
 }
@@ -132,15 +132,11 @@ func TestMinChainRejectsStaleValue(t *testing.T) {
 	// Processor 0 holds the global minimum 0 but is silent in round 1
 	// and delivers only in round 2 to processor 1: a stale chain.
 	pat := failures.SilentExcept(n, h, 0, 2, 1)
-	cfg := Config{0, 1, 2}
-	dec, err := Run(MinChain(), n, tt, cfg, pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEBA(t, "MinChain", cfg, pat, dec, -1)
+	tr := run(t, MinChain(), tt, types.Config{0, 1, 2}, pat)
+	checkEBA(t, tr, -1)
 	for _, p := range pat.Nonfaulty().Members() {
-		if dec[p].Value != 1 {
-			t.Fatalf("survivors should decide 1 (the smallest live value), got %v", dec)
+		if v, _, _ := tr.DecisionOf(p); v != 1 {
+			t.Fatalf("survivors should decide 1 (the smallest live value), got %s", tr)
 		}
 	}
 }
@@ -156,19 +152,17 @@ func TestFloodMinBreaksUnderOmission(t *testing.T) {
 	violated := false
 	for _, pat := range pats {
 		for _, cfg := range allConfigs(n, k) {
-			dec, err := Run(FloodMin(), n, tt, cfg, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var agreed Value = Undecided
+			tr := run(t, FloodMin(), tt, cfg, pat)
+			agreed := types.Unset
 			ok := true
 			for _, p := range pat.Nonfaulty().Members() {
-				if !dec[p].OK {
+				v, _, decided := tr.DecisionOf(p)
+				if !decided {
 					continue
 				}
-				if agreed == Undecided {
-					agreed = dec[p].Value
-				} else if agreed != dec[p].Value {
+				if agreed == types.Unset {
+					agreed = v
+				} else if agreed != v {
 					ok = false
 				}
 			}
@@ -182,32 +176,20 @@ func TestFloodMinBreaksUnderOmission(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	pat := failures.FailureFree(failures.Crash, 3, 2)
-	if _, err := Run(FloodMin(), 3, 1, Config{0, 1}, pat); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	if _, err := Run(FloodMin(), 3, 1, Config{0, -1, 1}, pat); err == nil {
-		t.Fatal("negative value accepted")
-	}
-	two := failures.MustPattern(failures.Crash, 3, 2, types.SetOf(0, 1), nil)
-	if _, err := Run(FloodMin(), 3, 1, Config{0, 1, 2}, two); err == nil {
-		t.Fatal("too many faulty accepted")
-	}
-}
-
+// Multivalued configurations are plain types.Config values: the
+// helpers and the printed form work for any non-negative vote.
 func TestConfigHelpers(t *testing.T) {
-	c := Config{2, 0, 1}
-	if c.Min() != 0 {
-		t.Fatal("Min wrong")
+	c := types.Config{2, 0, 1}
+	if c.String() != "201" {
+		t.Fatalf("String = %q", c.String())
 	}
 	if _, same := c.AllEqual(); same {
 		t.Fatal("AllEqual wrong")
 	}
-	if v, same := (Config{1, 1}).AllEqual(); !same || v != 1 {
+	if v, same := (types.Config{2, 2}).AllEqual(); !same || v != 2 {
 		t.Fatal("AllEqual wrong")
 	}
-	if err := (Config{0}).Validate(2); err == nil {
-		t.Fatal("short config accepted")
+	if !c.HasValue(2) || c.HasValue(3) {
+		t.Fatal("HasValue wrong")
 	}
 }

@@ -21,64 +21,18 @@ func codecErr(err error) bool {
 		errors.Is(err, ErrBadFrame)
 }
 
-// FuzzFrameCodec feeds arbitrary bytes to the classic frame decoder:
-// every frame it accepts must survive an encode/decode round trip, and
-// every rejection must carry one of the typed codec errors.
-func FuzzFrameCodec(f *testing.F) {
-	var seed bytes.Buffer
-	writeFrame(&seed, nil)
-	writeFrame(&seed, []byte{})
-	writeFrame(&seed, []byte("hello"))
-	f.Add(seed.Bytes())
-	f.Add([]byte{flagPayload, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}) // overflowing varint
-	f.Add([]byte{0xff})                                                                    // unknown flag
-	f.Add([]byte{flagPayload, 5, 1, 2})                                                    // truncated payload
-	f.Add(append([]byte{flagPayload, 0xa0, 0x8d, 0x06}, make([]byte, 64)...))              // > maxFrame
-	// New-mode corpus seeds: the frames a receiving- or general-omission
-	// run ships are opaque payloads here, but their pattern keys are the
-	// kind of structured bytes those runs put on the wire.
-	var modeSeed bytes.Buffer
-	writeFrame(&modeSeed, []byte(failures.Deaf(failures.ReceivingOmission, 3, 2, 1, 1).Key()))
-	writeFrame(&modeSeed, []byte(failures.Deaf(failures.GeneralOmission, 3, 2, 2, 1).Key()))
-	f.Add(modeSeed.Bytes())
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			payload, err := readFrame(r)
-			if err != nil {
-				if !codecErr(err) {
-					t.Fatalf("untyped decode error: %v", err)
-				}
-				return
-			}
-			if len(payload) > maxFrame {
-				t.Fatalf("decoded %d bytes past the frame limit", len(payload))
-			}
-			// Whatever decoded must round-trip through the encoder.
-			var buf bytes.Buffer
-			if err := writeFrame(&buf, payload); err != nil {
-				t.Fatal(err)
-			}
-			again, err := readFrame(&buf)
-			if err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
-			if (payload == nil) != (again == nil) || !bytes.Equal(payload, again) {
-				t.Fatalf("round trip: %x -> %x", payload, again)
-			}
-		}
-	})
-}
-
-// FuzzRoundFrameCodec round-trips the resilient engine's round-tagged
-// frames and checks the decoder rejects hostile streams with typed
-// errors only.
+// FuzzRoundFrameCodec round-trips round-tagged frames and checks the
+// decoder rejects hostile streams with typed errors only: every strict
+// prefix of an encoded frame, and the fuzzed payload bytes read as a
+// raw stream.
 func FuzzRoundFrameCodec(f *testing.F) {
 	f.Add(uint32(1), []byte("view"), false)
 	f.Add(uint32(0), []byte(nil), true)
 	f.Add(uint32(1<<31), bytes.Repeat([]byte{0xab}, 512), false)
 	f.Add(uint32(2), []byte(failures.Deaf(failures.ReceivingOmission, 4, 3, 2, 1).Key()), false)
+	f.Add(uint32(3), []byte{1, 0xff}, false)                          // unknown flag
+	f.Add(uint32(3), []byte{1, flagPayload, 5, 1, 2}, false)          // truncated payload
+	f.Add(uint32(3), []byte{1, flagPayload, 0xa0, 0x8d, 0x06}, false) // > maxFrame
 	f.Fuzz(func(t *testing.T, round uint32, payload []byte, null bool) {
 		if null {
 			payload = nil
@@ -111,6 +65,30 @@ func FuzzRoundFrameCodec(f *testing.F) {
 				t.Fatalf("prefix %d/%d: untyped error %v", cut, len(encoded), err)
 			}
 		}
+
+		// The payload as a hostile stream: whatever decodes stays
+		// within the frame limit and survives a round trip.
+		raw := bytes.NewReader(payload)
+		for {
+			r, got, err := readRoundFrame(raw)
+			if err != nil {
+				if !codecErr(err) {
+					t.Fatalf("raw stream: untyped error %v", err)
+				}
+				break
+			}
+			if len(got) > maxFrame {
+				t.Fatalf("decoded %d bytes past the frame limit", len(got))
+			}
+			var again bytes.Buffer
+			if err := writeRoundFrame(&again, r, got); err != nil {
+				t.Fatal(err)
+			}
+			r2, got2, err := readRoundFrame(&again)
+			if err != nil || r2 != r || (got == nil) != (got2 == nil) || !bytes.Equal(got, got2) {
+				t.Fatalf("raw stream round trip: (%d, %x) -> (%d, %x, %v)", r, got, r2, got2, err)
+			}
+		}
 	})
 }
 
@@ -118,31 +96,23 @@ func FuzzRoundFrameCodec(f *testing.F) {
 // readable, maxFrame+1 is ErrFrameTooLarge before any payload read.
 func TestFrameSizeBoundary(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame)); err != nil {
+	if err := writeRoundFrame(&buf, 2, make([]byte, maxFrame)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrame(&buf)
+	r, payload, err := readRoundFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payload) != maxFrame {
-		t.Fatalf("len = %d", len(payload))
+	if r != 2 || len(payload) != maxFrame {
+		t.Fatalf("round %d, len = %d", r, len(payload))
 	}
 
 	var big bytes.Buffer
-	big.WriteByte(flagPayload)
 	var hdr [binary.MaxVarintLen64]byte
+	big.Write(hdr[:binary.PutUvarint(hdr[:], 2)]) // round
+	big.WriteByte(flagPayload)
 	big.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-	if _, err := readFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := readRoundFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-
-	// Same boundary through the round-tagged decoder.
-	var rbig bytes.Buffer
-	rbig.Write(hdr[:binary.PutUvarint(hdr[:], 2)]) // round
-	rbig.WriteByte(flagPayload)
-	rbig.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-	if _, _, err := readRoundFrame(&rbig); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("round frame err = %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -5,116 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
-	"github.com/eventual-agreement/eba/internal/fip"
-	"github.com/eventual-agreement/eba/internal/protocols"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/types"
-	"github.com/eventual-agreement/eba/internal/views"
 )
 
-// The TCP engine reproduces the deterministic engine's decisions for
-// the wire-format full-information protocol, across crash and
-// omission scenarios.
-func TestTCPMatchesSim(t *testing.T) {
-	params := types.Params{N: 4, T: 1}
-	pair := protocols.P0OptPair()
-	scenarios := []struct {
-		cfg types.Config
-		pat *failures.Pattern
-	}{
-		{types.ConfigFromBits(4, 0b1110), failures.FailureFree(failures.Crash, 4, 3)},
-		{types.ConfigFromBits(4, 0b1111), failures.Silent(failures.Crash, 4, 3, 2, 2)},
-		{types.ConfigFromBits(4, 0b1110), failures.SilentExcept(4, 3, 0, 2, 1)},
-		{types.ConfigFromBits(4, 0b0000), failures.Silent(failures.Omission, 4, 3, 1, 1)},
-	}
-	for _, sc := range scenarios {
-		in := views.NewInterner(4)
-		want, err := sim.Run(fip.Protocol(in, pair), params, sc.cfg, sc.pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(fip.WireProtocol(pair), params, sc.cfg, sc.pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sim.DiffDecisions(got, want); d != "" {
-			t.Fatalf("cfg %s %s: tcp vs sim: %s", sc.cfg, sc.pat, d)
-		}
-		if got.Sent != got.Delivered {
-			t.Fatal("sender-side injection should equate sent and delivered")
-		}
-	}
-}
-
-// bytesProto is a trivial []byte protocol used for error-path and
-// counter tests: every processor broadcasts its ID byte each round
-// and decides its initial value at time 1.
-type bytesProto struct{}
-
-func (bytesProto) Name() string { return "bytes-test" }
-
-func (bytesProto) New(env sim.Env) sim.Process { return &bytesProc{env: env} }
-
-type bytesProc struct {
-	env     sim.Env
-	seen    int
-	decided bool
-}
-
-func (p *bytesProc) Send(types.Round) []sim.Message {
-	out := make([]sim.Message, p.env.Params.N)
-	for i := range out {
-		out[i] = []byte{byte(p.env.ID)}
-	}
-	return out
-}
-
-func (p *bytesProc) Receive(r types.Round, msgs []sim.Message) {
-	for j, m := range msgs {
-		if m == nil {
-			continue
-		}
-		b := m.([]byte)
-		if len(b) != 1 || int(b[0]) != j {
-			panic("corrupted frame")
-		}
-		p.seen++
-	}
-	p.decided = true
-}
-
-func (p *bytesProc) Decided() (types.Value, bool) {
-	if !p.decided {
-		return types.Unset, false
-	}
-	return p.env.Initial, true
-}
-
-func TestTCPMessageCounters(t *testing.T) {
-	const n, h = 3, 2
-	params := types.Params{N: n, T: 1}
-	tr, err := Run(bytesProto{}, params, types.ConfigFromBits(n, 0), failures.FailureFree(failures.Omission, n, h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Sent != n*(n-1)*h {
-		t.Fatalf("Sent = %d, want %d", tr.Sent, n*(n-1)*h)
-	}
-	// Fault injection suppresses sender-side.
-	lossy, err := Run(bytesProto{}, params, types.ConfigFromBits(n, 0), failures.Silent(failures.Omission, n, h, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossy.Sent != n*(n-1)*h-(n-1)*h {
-		t.Fatalf("lossy Sent = %d", lossy.Sent)
-	}
-}
-
 // nonBytesProto produces a non-[]byte message; the engine must report
-// it as an error rather than panic.
+// it as an error rather than panic or write it off as an omission.
 type nonBytesProto struct{}
 
 func (nonBytesProto) Name() string { return "bad" }
@@ -136,24 +36,31 @@ func (nonBytesProc) Decided() (types.Value, bool)       { return types.Unset, fa
 
 func TestTCPRejectsNonBytes(t *testing.T) {
 	params := types.Params{N: 3, T: 0}
-	_, err := Run(nonBytesProto{}, params, types.ConfigFromBits(3, 0), failures.FailureFree(failures.Crash, 3, 1))
+	_, err := RunResilient(nonBytesProto{}, params, types.ConfigFromBits(3, 0),
+		Options{Mode: failures.Crash, Horizon: 1, Deadline: testDeadline})
 	if err == nil {
 		t.Fatal("non-[]byte message accepted")
+	}
+	if !strings.Contains(err.Error(), "non-[]byte") {
+		t.Fatalf("err = %v, want the non-[]byte message error", err)
 	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{7}, 1000)}
-	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+	for i, p := range payloads {
+		if err := writeRoundFrame(&buf, types.Round(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range payloads {
-		got, err := readFrame(&buf)
+	for i, want := range payloads {
+		r, got, err := readRoundFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r != types.Round(i+1) {
+			t.Fatalf("frame %d: round %d", i, r)
 		}
 		if (want == nil) != (got == nil) || !bytes.Equal(want, got) {
 			t.Fatalf("frame round trip: %v -> %v", want, got)
@@ -161,25 +68,24 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// Oversized frames rejected with the typed error.
 	var big bytes.Buffer
-	big.WriteByte(1)
-	hdr := make([]byte, 10)
-	n := binary.PutUvarint(hdr, maxFrame+1)
-	big.Write(hdr[:n])
-	if _, err := readFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
+	big.Write([]byte{1, flagPayload})
+	hdr := make([]byte, binary.MaxVarintLen64)
+	big.Write(hdr[:binary.PutUvarint(hdr, maxFrame+1)])
+	if _, _, err := readRoundFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 	// A stream that dies mid-frame is a truncation, not a protocol
 	// violation.
-	if _, err := readFrame(bytes.NewReader([]byte{1, 5, 1, 2})); !errors.Is(err, ErrTruncatedFrame) {
+	if _, _, err := readRoundFrame(bytes.NewReader([]byte{1, flagPayload, 5, 1, 2})); !errors.Is(err, ErrTruncatedFrame) {
 		t.Fatalf("torn frame: err = %v, want ErrTruncatedFrame", err)
 	}
 	// An unknown flag byte poisons the stream.
-	if _, err := readFrame(bytes.NewReader([]byte{0x7f})); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := readRoundFrame(bytes.NewReader([]byte{1, 0x7f})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad flag: err = %v, want ErrBadFrame", err)
 	}
-	// A clean close between frames is a plain EOF — the classic
-	// engine's normal end-of-run, never a typed failure.
-	if _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
+	// A clean close between frames is a plain EOF, never a typed
+	// failure.
+	if _, _, err := readRoundFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("clean close: err = %v, want io.EOF", err)
 	}
 }

@@ -1,3 +1,15 @@
+// Package nettransport is the live runtime: it runs the same Protocol
+// interface as the sim package over real TCP loopback connections, one
+// goroutine per processor and one connection per directed link,
+// exchanging round-tagged frames. Synchrony is the deployed-system
+// reading of the paper's round clock: a frame that misses its round
+// deadline is an omission by its sender. Messages must be []byte (the
+// fip.WireProtocol adapter produces exactly that).
+//
+// A run's effective failure pattern is reconstructed from the message
+// fates the network produced, and VerifyReconstruction replays that
+// pattern on sim — the reference engine — and requires an identical
+// trace.
 package nettransport
 
 import (
@@ -97,8 +109,7 @@ func (e *ReconstructionError) Error() string {
 func (e *ReconstructionError) Unwrap() error { return e.Err }
 
 // RunResilient executes the protocol over a TCP mesh with
-// deadline-driven round synchronization instead of lockstep null
-// frames: every processor waits at most opts.Deadline per round for
+// deadline-driven round synchronization: every processor waits at most opts.Deadline per round for
 // its peers' frames, and a frame that misses the deadline — whether
 // dropped, delayed, stuck behind a dead connection, or cut off by a
 // partition — is treated as an omission by its sender, exactly the

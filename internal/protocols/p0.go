@@ -1,6 +1,5 @@
 // Package protocols implements the paper's concrete protocols as real
-// message-passing programs (runnable on both the deterministic engine
-// and the goroutine transport), together with their decision rules as
+// message-passing programs on the deterministic round engine, together with their decision rules as
 // view predicates so the knowledge machinery can compare them with
 // the semantically constructed optima.
 //

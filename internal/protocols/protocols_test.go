@@ -9,7 +9,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
@@ -209,64 +208,6 @@ func TestChain0DominatedByPair(t *testing.T) {
 			if pv != cv {
 				t.Fatalf("pair and concrete decide differently in run %d (cfg %s, %s) proc %d: %v vs %v",
 					run.Index, run.Config, run.Pattern, proc, pv, cv)
-			}
-		}
-	}
-}
-
-// Chain0 behaves identically on the goroutine transport.
-func TestChain0OverTransport(t *testing.T) {
-	params := types.Params{N: 4, T: 1}
-	pats, err := failures.EnumOmission(4, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi := 0; pi < len(pats); pi += 17 {
-		pat := pats[pi]
-		for mask := uint64(0); mask < 16; mask += 5 {
-			cfg := types.ConfigFromBits(4, mask)
-			want, err := sim.Run(Chain0(), params, cfg, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := transport.Run(Chain0(), params, cfg, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := types.ProcID(0); p < 4; p++ {
-				wv, wa, wok := want.DecisionOf(p)
-				gv, ga, gok := got.DecisionOf(p)
-				if wv != gv || wa != ga || wok != gok {
-					t.Fatalf("pattern %s cfg %s proc %d mismatch", pat, cfg, p)
-				}
-			}
-		}
-	}
-}
-
-// P0opt behaves identically on the goroutine transport.
-func TestP0OptOverTransport(t *testing.T) {
-	params := types.Params{N: 4, T: 1}
-	pats, err := failures.EnumCrash(4, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi := 0; pi < len(pats); pi += 11 {
-		pat := pats[pi]
-		cfg := types.ConfigFromBits(4, uint64(pi)%16)
-		want, err := sim.Run(P0Opt(), params, cfg, pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := transport.Run(P0Opt(), params, cfg, pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := types.ProcID(0); p < 4; p++ {
-			wv, wa, wok := want.DecisionOf(p)
-			gv, ga, gok := got.DecisionOf(p)
-			if wv != gv || wa != ga || wok != gok {
-				t.Fatalf("pattern %s proc %d mismatch", pat, p)
 			}
 		}
 	}

@@ -4,9 +4,9 @@
 // decision. This is the reference semantics of Section 2.3 of the
 // paper — communication happens during a round (between time m and
 // m+1), decisions are made at points — and the workhorse behind the
-// exhaustive experiments. The transport package runs the same
-// Protocol interface on goroutines and channels; a test asserts the
-// two engines produce identical traces.
+// exhaustive experiments. It is the repository's one round engine;
+// the live TCP runtime (nettransport.RunResilient) runs the same
+// Protocol interface and is checked against it by replay.
 package sim
 
 import (
@@ -74,9 +74,8 @@ type Trace struct {
 	decidedAt  []types.Round
 }
 
-// NewTrace allocates an undecided trace. It is used by every engine
-// that drives protocols (this package's Run and the transport
-// package's goroutine runtime).
+// NewTrace allocates an undecided trace. It is used by this package's
+// Run and by the live TCP runtime.
 func NewTrace(name string, cfg types.Config, pat *failures.Pattern) *Trace {
 	n := cfg.N()
 	tr := &Trace{

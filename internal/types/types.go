@@ -13,6 +13,7 @@ package types
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -26,7 +27,8 @@ type Round int
 
 // Value is an agreement input or decision value. The paper treats
 // binary agreement, V = {0, 1}; Unset represents "no value" (the
-// paper's bottom, used for undecided processors).
+// paper's bottom, used for undecided processors). The multivalued
+// protocols of Section 2.1's general case use 0..k-1.
 type Value int8
 
 // Agreement values.
@@ -39,16 +41,13 @@ const (
 	One Value = 1
 )
 
-// String returns "0", "1", or "⊥".
+// String returns the value's digits ("0", "1", ...), or "⊥" for any
+// negative value.
 func (v Value) String() string {
-	switch v {
-	case Zero:
-		return "0"
-	case One:
-		return "1"
-	default:
+	if v < 0 {
 		return "⊥"
 	}
+	return strconv.Itoa(int(v))
 }
 
 // Valid reports whether v is one of the two agreement values.
